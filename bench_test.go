@@ -122,23 +122,39 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "cycles/s")
 }
 
-// BenchmarkFunctionalInterpreter measures the SIMT interpreter in
-// thread-instructions per second.
+// BenchmarkFunctionalInterpreter measures the SIMT interpreter on the
+// compute-bound kernels, in executed thread-instructions per second.
 func BenchmarkFunctionalInterpreter(b *testing.B) {
-	w, err := workloads.ByAbbr("RD")
-	if err != nil {
-		b.Fatal(err)
-	}
-	inst, err := w.Build(0.1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c := inst.Clone()
-		if err := exec.RunFunctionalAll(c.Mem, c.Launches); err != nil {
-			b.Fatal(err)
-		}
+	for _, abbr := range []string{"KM", "HW", "RD"} {
+		b.Run(abbr, func(b *testing.B) {
+			w, err := workloads.ByAbbr(abbr)
+			if err != nil {
+				b.Fatal(err)
+			}
+			inst, err := w.Build(0.1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var instrs int64
+			count := func(_ *exec.Warp, r exec.StepResult) { instrs += int64(r.ActiveLanes) }
+			c := inst.Clone()
+			for _, l := range c.Launches {
+				if err := exec.RunInstrumented(c.Mem, l, count); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				c := inst.Clone()
+				b.StartTimer()
+				if err := exec.RunFunctionalAll(c.Mem, c.Launches); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(instrs)*float64(b.N)/1e6/b.Elapsed().Seconds(), "Minstr/s")
+		})
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/cfgx"
 	"repro/internal/isa"
 	"repro/internal/mem"
 )
@@ -103,12 +102,8 @@ func TestActiveMaskNeverGrows(t *testing.T) {
 	r := rand.New(rand.NewSource(123))
 	for trial := 0; trial < 40; trial++ {
 		k := randomStructuredKernel(r)
-		info, err := cfgx.Analyze(k)
-		if err != nil {
-			t.Fatal(err)
-		}
 		m := mem.NewFlat()
-		w := NewWarp(k, info, WarpInfo{NTid: 48, NCtaid: 1}, m, nil, []uint64{0x2000_0000, 64})
+		w := NewWarp(decodeKernel(t, k), WarpInfo{NTid: 48, NCtaid: 1}, m, nil, []uint64{0x2000_0000, 64})
 		initial := w.ActiveMask()
 		for steps := 0; !w.Done() && steps < 100000; steps++ {
 			if am := w.ActiveMask(); am&^initial != 0 {
@@ -126,12 +121,8 @@ func TestActiveMaskNeverGrows(t *testing.T) {
 // the popcount of the mask that executed.
 func TestStepCountsMatchActiveLanes(t *testing.T) {
 	k := randomStructuredKernel(rand.New(rand.NewSource(7)))
-	info, err := cfgx.Analyze(k)
-	if err != nil {
-		t.Fatal(err)
-	}
 	m := mem.NewFlat()
-	w := NewWarp(k, info, WarpInfo{NTid: 32, NCtaid: 1}, m, nil, []uint64{0x3000_0000, 64})
+	w := NewWarp(decodeKernel(t, k), WarpInfo{NTid: 32, NCtaid: 1}, m, nil, []uint64{0x3000_0000, 64})
 	for !w.Done() {
 		before := w.ActiveMask()
 		res := w.Step()

@@ -9,25 +9,19 @@
 // stores, loads), and returns a descriptor of what happened so a timing
 // layer can charge latency and bandwidth afterwards. Values are therefore
 // always exact, and timing policies can never corrupt program results.
+//
+// Kernels are decoded once per launch into a Program (see Decode), so a
+// Step makes one opcode dispatch per warp-instruction and runs an
+// elementwise kernel over whole register rows.
 package exec
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 
-	"repro/internal/cfgx"
 	"repro/internal/isa"
+	"repro/internal/mem"
 )
-
-// Memory is the global-memory interface the interpreter needs. Words are
-// little-endian 32-bit; addresses are byte addresses.
-type Memory interface {
-	Load4(addr uint64) uint32
-	Store4(addr uint64, v uint32)
-	// AtomicAdd4 adds v to the word at addr and returns the old value.
-	AtomicAdd4(addr uint64, v uint32) uint32
-}
 
 // WarpInfo locates a warp within its grid.
 type WarpInfo struct {
@@ -81,31 +75,40 @@ type simtEntry struct {
 
 // Warp is a 32-lane SIMT execution context.
 type Warp struct {
-	Kernel *isa.Kernel
-	Info   *cfgx.Info
+	Prog   *Program
 	WInfo  WarpInfo
-	Mem    Memory
+	Mem    *mem.Flat
 	Shared []uint32 // CTA shared memory, shared across the CTA's warps
 
-	// Regs[r][lane] is the architectural register file.
+	// Regs[r][lane] is the architectural register file. It is the front
+	// of rows, whose tail holds the warp's special-value rows.
 	Regs [][isa.WarpSize]uint64
 
+	rows     []row
 	alive    uint32 // lanes that have not exited
 	stack    []simtEntry
 	accesses []Access
 }
 
+// newWarp allocates the row file and fills the special-value rows.
+func newWarp(p *Program, wi WarpInfo, m *mem.Flat) *Warp {
+	n := p.Kernel.NumRegs
+	w := &Warp{Prog: p, WInfo: wi, Mem: m, rows: make([]row, n+len(p.specials))}
+	w.Regs = w.rows[:n:n]
+	for i, s := range p.specials {
+		r := &w.rows[n+i]
+		for lane := range r {
+			r[lane] = w.special(s, lane)
+		}
+	}
+	return w
+}
+
 // NewWarp creates a warp ready to execute from pc 0 with all lanes whose
 // global thread index is inside the CTA's thread count active.
-func NewWarp(k *isa.Kernel, info *cfgx.Info, wi WarpInfo, mem Memory, shared []uint32, params []uint64) *Warp {
-	w := &Warp{
-		Kernel: k,
-		Info:   info,
-		WInfo:  wi,
-		Mem:    mem,
-		Shared: shared,
-		Regs:   make([][isa.WarpSize]uint64, k.NumRegs),
-	}
+func NewWarp(p *Program, wi WarpInfo, m *mem.Flat, shared []uint32, params []uint64) *Warp {
+	w := newWarp(p, wi, m)
+	w.Shared = shared
 	var mask uint32
 	base := wi.WarpInCTA * isa.WarpSize
 	for lane := 0; lane < isa.WarpSize; lane++ {
@@ -114,10 +117,10 @@ func NewWarp(k *isa.Kernel, info *cfgx.Info, wi WarpInfo, mem Memory, shared []u
 		}
 	}
 	for i, v := range params {
-		if i >= k.NumRegs {
+		if i >= len(w.Regs) {
 			break
 		}
-		for lane := 0; lane < isa.WarpSize; lane++ {
+		for lane := range w.Regs[i] {
 			w.Regs[i][lane] = v
 		}
 	}
@@ -131,16 +134,10 @@ func NewWarp(k *isa.Kernel, info *cfgx.Info, wi WarpInfo, mem Memory, shared []u
 // contents — the memory-stack SM side of an offload. regs supplies values
 // for the registers named in liveIn; everything else starts zero, which
 // exercises the liveness analysis for real.
-func NewRegionWarp(k *isa.Kernel, info *cfgx.Info, wi WarpInfo, mem Memory, mask uint32,
+func NewRegionWarp(p *Program, wi WarpInfo, m *mem.Flat, mask uint32,
 	startPC, endPC int, liveIn uint64, regs [][isa.WarpSize]uint64) *Warp {
-	w := &Warp{
-		Kernel: k,
-		Info:   info,
-		WInfo:  wi,
-		Mem:    mem,
-		Regs:   make([][isa.WarpSize]uint64, k.NumRegs),
-	}
-	for r := 0; r < k.NumRegs; r++ {
+	w := newWarp(p, wi, m)
+	for r := range w.Regs {
 		if liveIn&(1<<r) != 0 {
 			w.Regs[r] = regs[r]
 		}
@@ -196,14 +193,14 @@ func (w *Warp) PeekOp() isa.Op {
 	if len(w.stack) == 0 {
 		return isa.OpNop
 	}
-	return w.Kernel.Instrs[w.stack[len(w.stack)-1].pc].Op
+	return w.Prog.Kernel.Instrs[w.stack[len(w.stack)-1].pc].Op
 }
 
 // NextInstr returns the instruction about to execute. Valid only if !Done.
 // It returns a pointer into the kernel's instruction slice (callers must
 // not mutate it) so the per-issue hot path copies nothing.
 func (w *Warp) NextInstr() *isa.Instr {
-	return &w.Kernel.Instrs[w.PC()]
+	return &w.Prog.Kernel.Instrs[w.PC()]
 }
 
 // SkipTo repositions the current execution point — used by the main GPU SM
@@ -252,56 +249,13 @@ func (w *Warp) special(s isa.Special, lane int) uint64 {
 	return 0
 }
 
-func (w *Warp) eval(o isa.Operand, lane int) uint64 {
-	switch o.Kind {
-	case isa.OpdReg:
-		return w.Regs[o.Reg][lane]
-	case isa.OpdImm:
-		return uint64(o.Imm)
-	case isa.OpdSpecial:
-		return w.special(o.Sp, lane)
+// row returns the row an operand slot names.
+func (w *Warp) row(s slot) *row {
+	if s < 0 {
+		return &w.Prog.imms[^s]
 	}
-	return 0
+	return &w.rows[s]
 }
-
-func cmpInt(c isa.Cmp, a, b int64) bool {
-	switch c {
-	case isa.CmpEQ:
-		return a == b
-	case isa.CmpNE:
-		return a != b
-	case isa.CmpLT:
-		return a < b
-	case isa.CmpLE:
-		return a <= b
-	case isa.CmpGT:
-		return a > b
-	case isa.CmpGE:
-		return a >= b
-	}
-	return false
-}
-
-func cmpFloat(c isa.Cmp, a, b float32) bool {
-	switch c {
-	case isa.CmpEQ:
-		return a == b
-	case isa.CmpNE:
-		return a != b
-	case isa.CmpLT:
-		return a < b
-	case isa.CmpLE:
-		return a <= b
-	case isa.CmpGT:
-		return a > b
-	case isa.CmpGE:
-		return a >= b
-	}
-	return false
-}
-
-func f32(v uint64) float32   { return math.Float32frombits(uint32(v)) }
-func fbits(f float32) uint64 { return uint64(math.Float32bits(f)) }
 
 // Step executes one warp-instruction and returns what happened.
 func (w *Warp) Step() StepResult {
@@ -311,13 +265,14 @@ func (w *Warp) Step() StepResult {
 	}
 	top := &w.stack[len(w.stack)-1]
 	pc := top.pc
-	if pc >= len(w.Kernel.Instrs) {
-		panic(fmt.Sprintf("exec: kernel %q: pc %d fell off the end", w.Kernel.Name, pc))
+	p := w.Prog
+	if pc >= len(p.code) {
+		panic(fmt.Sprintf("exec: kernel %q: pc %d fell off the end", p.Kernel.Name, pc))
 	}
-	in := &w.Kernel.Instrs[pc]
+	in := &p.Kernel.Instrs[pc]
+	d := &p.code[pc]
 	mask := top.mask & w.alive
-	active := bits.OnesCount32(mask)
-	res := StepResult{PC: pc, Op: in.Op, Dst: in.Dst, HasDst: in.HasDst, ActiveLanes: active}
+	res := StepResult{PC: pc, Op: in.Op, Dst: in.Dst, HasDst: in.HasDst, ActiveLanes: bits.OnesCount32(mask)}
 
 	switch in.Op {
 	case isa.OpNop:
@@ -337,34 +292,21 @@ func (w *Warp) Step() StepResult {
 
 	case isa.OpBra:
 		res.Kind = StepBranch
-		var taken uint32
-		if in.A.Kind == isa.OpdNone {
-			taken = mask
-		} else {
-			for lane := 0; lane < isa.WarpSize; lane++ {
-				if mask&(1<<lane) == 0 {
-					continue
-				}
-				p := w.eval(in.A, lane) != 0
-				if in.PredNeg {
-					p = !p
-				}
-				if p {
-					taken |= 1 << lane
-				}
-			}
+		taken := mask
+		if d.cond {
+			taken &= nonzero(w.row(d.a)) ^ d.neg
 		}
 		fall := mask &^ taken
 		switch {
 		case fall == 0:
-			top.pc = in.Target
+			top.pc = d.target
 		case taken == 0:
 			top.pc++
 		default:
 			// Divergence: the current entry becomes the continuation at
 			// the reconvergence point; the two paths are pushed and run
 			// (taken first) until each reaches the reconvergence pc.
-			rpc := w.Info.Reconv[pc]
+			rpc := d.reconv
 			// Clamp reconvergence to this entry's own region end so
 			// region execution (offload) cannot escape its bounds.
 			if top.rpc >= 0 && rpc > top.rpc {
@@ -373,87 +315,73 @@ func (w *Warp) Step() StepResult {
 			top.pc = rpc
 			w.stack = append(w.stack,
 				simtEntry{pc: pc + 1, rpc: rpc, mask: fall},
-				simtEntry{pc: in.Target, rpc: rpc, mask: taken})
+				simtEntry{pc: d.target, rpc: rpc, mask: taken})
 		}
 
-	case isa.OpSetp, isa.OpFSetp:
-		res.Kind = StepALU
-		for lane := 0; lane < isa.WarpSize; lane++ {
-			if mask&(1<<lane) == 0 {
-				continue
-			}
-			var v bool
-			if in.Op == isa.OpSetp {
-				v = cmpInt(in.Cmp, int64(w.eval(in.A, lane)), int64(w.eval(in.B, lane)))
-			} else {
-				v = cmpFloat(in.Cmp, f32(w.eval(in.A, lane)), f32(w.eval(in.B, lane)))
-			}
-			if v {
-				w.Regs[in.Dst][lane] = 1
-			} else {
-				w.Regs[in.Dst][lane] = 0
-			}
-		}
-		top.pc++
-
-	case isa.OpLdGlobal, isa.OpStGlobal, isa.OpAtomAdd:
+	case isa.OpLdGlobal:
 		res.Kind = StepMem
-		w.accesses = w.accesses[:0]
-		for lane := 0; lane < isa.WarpSize; lane++ {
-			if mask&(1<<lane) == 0 {
-				continue
-			}
-			addr := w.eval(in.A, lane) + uint64(in.Imm)
-			switch in.Op {
-			case isa.OpLdGlobal:
-				w.Regs[in.Dst][lane] = uint64(w.Mem.Load4(addr))
-				w.accesses = append(w.accesses, Access{Lane: lane, Addr: addr})
-			case isa.OpStGlobal:
-				w.Mem.Store4(addr, uint32(w.eval(in.B, lane)))
-				w.accesses = append(w.accesses, Access{Lane: lane, Addr: addr, Store: true})
-			case isa.OpAtomAdd:
-				old := w.Mem.AtomicAdd4(addr, uint32(w.eval(in.B, lane)))
-				w.Regs[in.Dst][lane] = uint64(old)
-				w.accesses = append(w.accesses, Access{Lane: lane, Addr: addr, Store: true})
-			}
+		acc := w.accessBuf()
+		a, dst := w.row(d.a), &w.rows[d.dst]
+		for m := mask; m != 0; m &= m - 1 {
+			lane := laneOf(m)
+			addr := a[lane] + d.off
+			dst[lane] = uint64(w.Mem.Load4(addr))
+			acc = append(acc, Access{Lane: lane, Addr: addr})
 		}
-		res.Accesses = w.accesses
+		w.accesses, res.Accesses = acc, acc
 		top.pc++
 
-	case isa.OpLdShared, isa.OpStShared:
+	case isa.OpStGlobal:
+		res.Kind = StepMem
+		acc := w.accessBuf()
+		a, b := w.row(d.a), w.row(d.b)
+		for m := mask; m != 0; m &= m - 1 {
+			lane := laneOf(m)
+			addr := a[lane] + d.off
+			w.Mem.Store4(addr, uint32(b[lane]))
+			acc = append(acc, Access{Lane: lane, Addr: addr, Store: true})
+		}
+		w.accesses, res.Accesses = acc, acc
+		top.pc++
+
+	case isa.OpAtomAdd:
+		res.Kind = StepMem
+		acc := w.accessBuf()
+		a, b, dst := w.row(d.a), w.row(d.b), &w.rows[d.dst]
+		for m := mask; m != 0; m &= m - 1 {
+			lane := laneOf(m)
+			addr := a[lane] + d.off
+			dst[lane] = uint64(w.Mem.AtomicAdd4(addr, uint32(b[lane])))
+			acc = append(acc, Access{Lane: lane, Addr: addr, Store: true})
+		}
+		w.accesses, res.Accesses = acc, acc
+		top.pc++
+
+	case isa.OpLdShared:
 		res.Kind = StepShared
-		for lane := 0; lane < isa.WarpSize; lane++ {
-			if mask&(1<<lane) == 0 {
-				continue
-			}
-			addr := (w.eval(in.A, lane) + uint64(in.Imm)) / isa.WordBytes
-			if addr >= uint64(len(w.Shared)) {
-				panic(fmt.Sprintf("exec: kernel %q pc %d: shared access %d out of %d words",
-					w.Kernel.Name, pc, addr, len(w.Shared)))
-			}
-			if in.Op == isa.OpLdShared {
-				w.Regs[in.Dst][lane] = uint64(w.Shared[addr])
-			} else {
-				w.Shared[addr] = uint32(w.eval(in.B, lane))
-			}
+		a, dst := w.row(d.a), &w.rows[d.dst]
+		for m := mask; m != 0; m &= m - 1 {
+			lane := laneOf(m)
+			dst[lane] = uint64(w.Shared[w.sharedWord(pc, a[lane]+d.off)])
 		}
 		top.pc++
 
-	default: // ALU
+	case isa.OpStShared:
+		res.Kind = StepShared
+		a, b := w.row(d.a), w.row(d.b)
+		for m := mask; m != 0; m &= m - 1 {
+			lane := laneOf(m)
+			w.Shared[w.sharedWord(pc, a[lane]+d.off)] = uint32(b[lane])
+		}
+		top.pc++
+
+	default: // ALU, Setp, FSetp
 		res.Kind = StepALU
-		for lane := 0; lane < isa.WarpSize; lane++ {
-			if mask&(1<<lane) == 0 {
-				continue
-			}
-			a := w.eval(in.A, lane)
-			var b, c uint64
-			if in.B.Kind != isa.OpdNone {
-				b = w.eval(in.B, lane)
-			}
-			if in.C.Kind != isa.OpdNone {
-				c = w.eval(in.C, lane)
-			}
-			w.Regs[in.Dst][lane] = aluOp(in.Op, a, b, c)
+		dst, a, b, c := &w.rows[d.dst], w.row(d.a), w.row(d.b), w.row(d.c)
+		if mask == fullMask {
+			d.k.all(dst, a, b, c)
+		} else {
+			d.k.some(dst, a, b, c, mask)
 		}
 		top.pc++
 	}
@@ -465,71 +393,36 @@ func (w *Warp) Step() StepResult {
 	return res
 }
 
-// ALUOp computes the pure-ALU result for op given operand values — the
-// same semantics Step applies, exported for scalar dry-run evaluation.
-func ALUOp(op isa.Op, a, b, c uint64) uint64 { return aluOp(op, a, b, c) }
+// laneOf returns the lowest set lane of a nonzero mask.
+func laneOf(m uint32) int { return bits.TrailingZeros32(m) & (isa.WarpSize - 1) }
 
-func aluOp(op isa.Op, a, b, c uint64) uint64 {
-	switch op {
-	case isa.OpMov:
-		return a
-	case isa.OpAdd:
-		return a + b
-	case isa.OpSub:
-		return a - b
-	case isa.OpMul:
-		return a * b
-	case isa.OpDiv:
-		if int64(b) == 0 {
-			return 0
+// nonzero returns the mask of lanes whose value is nonzero.
+func nonzero(r *row) uint32 {
+	var m uint32
+	for lane, v := range r {
+		if v != 0 {
+			m |= 1 << lane
 		}
-		return uint64(int64(a) / int64(b))
-	case isa.OpRem:
-		if int64(b) == 0 {
-			return 0
-		}
-		return uint64(int64(a) % int64(b))
-	case isa.OpMin:
-		if int64(a) < int64(b) {
-			return a
-		}
-		return b
-	case isa.OpMax:
-		if int64(a) > int64(b) {
-			return a
-		}
-		return b
-	case isa.OpAnd:
-		return a & b
-	case isa.OpOr:
-		return a | b
-	case isa.OpXor:
-		return a ^ b
-	case isa.OpShl:
-		return a << (b & 63)
-	case isa.OpShr:
-		return a >> (b & 63)
-	case isa.OpFAdd:
-		return fbits(f32(a) + f32(b))
-	case isa.OpFSub:
-		return fbits(f32(a) - f32(b))
-	case isa.OpFMul:
-		return fbits(f32(a) * f32(b))
-	case isa.OpFDiv:
-		return fbits(f32(a) / f32(b))
-	case isa.OpFMA:
-		return fbits(f32(a)*f32(b) + f32(c))
-	case isa.OpFNeg:
-		return fbits(-f32(a))
-	case isa.OpCvtIF:
-		return fbits(float32(int32(a)))
-	case isa.OpCvtFI:
-		return uint64(uint32(int32(f32(a))))
-	case isa.OpSelp:
-		if c != 0 {
-			return a
-		}
-		return b
 	}
-	panic(fmt.Sprintf("exec: unhandled ALU op %v", op))
+	return m
+}
+
+// accessBuf returns the emptied access buffer, sized for a whole warp so
+// later steps append without allocating.
+func (w *Warp) accessBuf() []Access {
+	if w.accesses == nil {
+		w.accesses = make([]Access, 0, isa.WarpSize)
+	}
+	return w.accesses[:0]
+}
+
+// sharedWord converts a shared-memory byte address to a word index,
+// panicking on an access outside the CTA's allocation.
+func (w *Warp) sharedWord(pc int, addr uint64) uint64 {
+	i := addr / isa.WordBytes
+	if i >= uint64(len(w.Shared)) {
+		panic(fmt.Sprintf("exec: kernel %q pc %d: shared access %d out of %d words",
+			w.Prog.Kernel.Name, pc, i, len(w.Shared)))
+	}
+	return i
 }

@@ -211,11 +211,8 @@ func TestRegionWarpMatchesFullExecution(t *testing.T) {
 	b.St(isa.R(0), 0, isa.R(3))
 	b.Exit()
 	k := b.MustBuild()
-	info, err := cfgx.Analyze(k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	liveIn, liveOut, err := info.RegionLiveInOut(2, 9)
+	p := decodeKernel(t, k)
+	liveIn, liveOut, err := p.Info.RegionLiveInOut(2, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +230,7 @@ func TestRegionWarpMatchesFullExecution(t *testing.T) {
 	// Full execution.
 	m1 := setup()
 	wi := WarpInfo{CtaID: 0, WarpInCTA: 0, NTid: 32, NCtaid: 1}
-	w1 := NewWarp(k, info, wi, m1, nil, []uint64{base, n})
+	w1 := NewWarp(p, wi, m1, nil, []uint64{base, n})
 	for !w1.Done() {
 		w1.Step()
 	}
@@ -241,11 +238,11 @@ func TestRegionWarpMatchesFullExecution(t *testing.T) {
 	// Split execution: run to region start, ship live-ins to a region
 	// warp, run it, copy live-outs back, continue.
 	m2 := setup()
-	w2 := NewWarp(k, info, wi, m2, nil, []uint64{base, n})
+	w2 := NewWarp(p, wi, m2, nil, []uint64{base, n})
 	for w2.PC() != 2 {
 		w2.Step()
 	}
-	region := NewRegionWarp(k, info, wi, m2, w2.ActiveMask(), 2, 9, liveIn, w2.Regs)
+	region := NewRegionWarp(p, wi, m2, w2.ActiveMask(), 2, 9, liveIn, w2.Regs)
 	steps := 0
 	for !region.Done() {
 		region.Step()
@@ -311,4 +308,18 @@ func TestInactiveTailLanes(t *testing.T) {
 			t.Fatalf("out[%d] = %d, want %d", i, got, want)
 		}
 	}
+}
+
+// decodeKernel analyzes and decodes k, failing the test on error.
+func decodeKernel(t testing.TB, k *isa.Kernel) *Program {
+	t.Helper()
+	info, err := cfgx.Analyze(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := Decode(k, info)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
 }

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/cfgx"
 	"repro/internal/isa"
+	"repro/internal/mem"
 )
 
 // Launch describes one kernel invocation on a 1-D grid.
@@ -46,16 +47,20 @@ type StepHook func(w *Warp, res StepResult)
 // interleaved at barrier granularity, which is sufficient for race-free
 // kernels (barriers and commutative atomics are the only permitted
 // inter-thread communication, as in the paper's offloading-legal subset).
-func RunFunctional(m Memory, l Launch) error {
+func RunFunctional(m *mem.Flat, l Launch) error {
 	return RunInstrumented(m, l, nil)
 }
 
 // RunInstrumented is RunFunctional with a per-step observation hook.
-func RunInstrumented(m Memory, l Launch, hook StepHook) error {
+func RunInstrumented(m *mem.Flat, l Launch, hook StepHook) error {
 	if err := l.Validate(); err != nil {
 		return err
 	}
 	info, err := cfgx.Analyze(l.Kernel)
+	if err != nil {
+		return err
+	}
+	prog, err := Decode(l.Kernel, info)
 	if err != nil {
 		return err
 	}
@@ -64,7 +69,7 @@ func RunInstrumented(m Memory, l Launch, hook StepHook) error {
 		shared := make([]uint32, (l.Kernel.SharedBytes+3)/4)
 		warps := make([]*Warp, wpc)
 		for wi := 0; wi < wpc; wi++ {
-			warps[wi] = NewWarp(l.Kernel, info, WarpInfo{
+			warps[wi] = NewWarp(prog, WarpInfo{
 				CtaID: cta, WarpInCTA: wi, NTid: l.Block, NCtaid: l.Grid,
 			}, m, shared, l.Params)
 		}
@@ -121,7 +126,7 @@ func RunInstrumented(m Memory, l Launch, hook StepHook) error {
 }
 
 // RunFunctionalAll runs a sequence of launches (a whole workload).
-func RunFunctionalAll(m Memory, launches []Launch) error {
+func RunFunctionalAll(m *mem.Flat, launches []Launch) error {
 	for i, l := range launches {
 		if err := RunFunctional(m, l); err != nil {
 			return fmt.Errorf("launch %d: %w", i, err)

@@ -361,7 +361,7 @@ func parseOperand(s string) (Operand, error) {
 
 // parseMemRef parses "[rN+off]" or "[rN]" (off may be negative).
 func parseMemRef(s string) (Operand, int64, error) {
-	if !strings.HasPrefix(s, "[") || !strings.HasSuffix(s, "]") {
+	if len(s) < 3 || s[0] != '[' || s[len(s)-1] != ']' {
 		return Operand{}, 0, fmt.Errorf("expected [addr+off], got %q", s)
 	}
 	inner := s[1 : len(s)-1]
@@ -389,15 +389,23 @@ func Disassemble(k *Kernel) string {
 	if k.SharedBytes > 0 {
 		fmt.Fprintf(&sb, ".shared %d\n", k.SharedBytes)
 	}
-	// Invert labels; synthesize for any branch target without one.
+	// Name each pc by its alphabetically first label a bra can reference,
+	// so the text is deterministic and reassembles; synthesize a fresh name
+	// for any branch target without one.
 	labelAt := map[int]string{}
 	for name, pc := range k.Labels {
-		labelAt[pc] = name
+		if referable(name) && (labelAt[pc] == "" || name < labelAt[pc]) {
+			labelAt[pc] = name
+		}
 	}
 	for _, in := range k.Instrs {
 		if in.Op == OpBra {
 			if _, ok := labelAt[in.Target]; !ok {
-				labelAt[in.Target] = fmt.Sprintf("L%d", in.Target)
+				name := fmt.Sprintf("L%d", in.Target)
+				for _, taken := k.Labels[name]; taken; _, taken = k.Labels[name] {
+					name += "_"
+				}
+				labelAt[in.Target] = name
 			}
 		}
 	}
@@ -420,4 +428,12 @@ func Disassemble(k *Kernel) string {
 		fmt.Fprintf(&sb, "  %s\n", in)
 	}
 	return sb.String()
+}
+
+// referable reports whether a bra line can name the label: the name must
+// survive argument splitting and trimming, and must not end the line with
+// the ':' that marks a label definition.
+func referable(name string) bool {
+	return name != "" && name == strings.TrimSpace(name) &&
+		!strings.Contains(name, ",") && !strings.HasSuffix(name, ":")
 }

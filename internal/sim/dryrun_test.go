@@ -22,8 +22,18 @@ func dryRunWarp(t *testing.T, k *isa.Kernel, params []uint64) (*System, *smWarp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := exec.NewWarp(k, md.Info, exec.WarpInfo{NTid: 32, NCtaid: 1}, sys.mem, nil, params)
+	w := exec.NewWarp(mustDecode(t, md), exec.WarpInfo{NTid: 32, NCtaid: 1}, sys.mem, nil, params)
 	return sys, &smWarp{w: w}
+}
+
+// mustDecode decodes the kernel md describes, failing the test on error.
+func mustDecode(t *testing.T, md *compiler.Metadata) *exec.Program {
+	t.Helper()
+	p, err := exec.Decode(md.Kernel, md.Info)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
 }
 
 func lineOf(sys *System, addr uint64) uint64 {

@@ -201,7 +201,7 @@ func TestFreeSlotsNeverExceedCapacity(t *testing.T) {
 	cand := md.Candidates[0]
 	// A source warp positioned at the candidate entry supplies live-in
 	// registers and warp identity for the forged jobs.
-	w := exec.NewWarp(k, md.Info, exec.WarpInfo{
+	w := exec.NewWarp(mustDecode(t, md), exec.WarpInfo{
 		CtaID: 0, WarpInCTA: 0, NTid: 128, NCtaid: 64,
 	}, m, nil, env.launches[0].Params)
 	for w.PC() != cand.StartPC {

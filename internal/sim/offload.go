@@ -183,7 +183,7 @@ func (sys *System) buildJob(sm *SM, sw *smWarp, cand *compiler.Candidate, dest, 
 		mask: sw.w.ActiveMask(), winfo: sw.w.WInfo,
 		dirty: make(map[uint64]struct{}),
 	}
-	k := sw.w.Kernel
+	k := sw.w.Prog.Kernel
 	job.liveIn = make([][isa.WarpSize]uint64, k.NumRegs)
 	for r := 0; r < k.NumRegs; r++ {
 		if cand.LiveIn&(1<<r) != 0 {
@@ -244,7 +244,7 @@ func (sm *SM) spawn(job *offloadJob, now int64) {
 	}
 	cand := job.cand
 	md := job.srcWarp.md
-	w := exec.NewRegionWarp(md.Kernel, md.Info, job.winfo, sm.sys.mem, job.mask,
+	w := exec.NewRegionWarp(job.srcWarp.w.Prog, job.winfo, sm.sys.mem, job.mask,
 		cand.StartPC, cand.EndPC, cand.LiveIn, job.liveIn)
 	slot := sm.findFreeSlot()
 	sw := &smWarp{sm: sm, slot: slot, w: w, md: md, job: job}
@@ -272,7 +272,7 @@ func (sys *System) sendOffloadAck(sw *smWarp, now int64) {
 	}
 
 	cand := job.cand
-	k := sw.w.Kernel
+	k := sw.w.Prog.Kernel
 	job.liveOut = make([][isa.WarpSize]uint64, k.NumRegs)
 	for r := 0; r < k.NumRegs; r++ {
 		if cand.LiveOut&(1<<r) != 0 {
@@ -374,7 +374,7 @@ func (sys *System) dryRun(sw *smWarp, cand *compiler.Candidate, maxAcc int) (lin
 	if maxAcc < 1 {
 		maxAcc = 1
 	}
-	k := sw.w.Kernel
+	k := sw.w.Prog.Kernel
 	var regs [isa.MaxRegs]uint64
 	var taint [isa.MaxRegs]bool
 	for r := 0; r < k.NumRegs; r++ {

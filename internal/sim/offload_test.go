@@ -151,9 +151,8 @@ func TestDestStackMatchesFirstAccess(t *testing.T) {
 		t.Fatal(err)
 	}
 	var cand = md.Candidates[0]
-	info := md.Info
 	// Build a warp positioned at the candidate entry.
-	w := exec.NewWarp(env.launches[0].Kernel, info, exec.WarpInfo{
+	w := exec.NewWarp(mustDecode(t, md), exec.WarpInfo{
 		CtaID: 3, WarpInCTA: 1, NTid: 128, NCtaid: 64,
 	}, m, nil, env.launches[0].Params)
 	for w.PC() != cand.StartPC {

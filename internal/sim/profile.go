@@ -90,10 +90,10 @@ func RunProfile(m *mem.Flat, alloc *mem.AllocTable, launches []exec.Launch) (*Pr
 				r.CandidateTouched = true
 			}
 		}
-		byPC := p.Offsets[w.Kernel.Name]
+		byPC := p.Offsets[w.Prog.Kernel.Name]
 		if byPC == nil {
 			byPC = map[int]*mapping.OffsetTracker{}
-			p.Offsets[w.Kernel.Name] = byPC
+			p.Offsets[w.Prog.Kernel.Name] = byPC
 		}
 		tr := byPC[pc.cand.StartPC]
 		if tr == nil {

@@ -326,7 +326,7 @@ func (sm *SM) dispatchCTAs(lc *launchCtx) {
 		}
 		for wi := 0; wi < wpc; wi++ {
 			slot := sm.findFreeSlot()
-			w := exec.NewWarp(lc.l.Kernel, lc.md.Info, exec.WarpInfo{
+			w := exec.NewWarp(lc.prog, exec.WarpInfo{
 				CtaID: ctaID, WarpInCTA: wi, NTid: lc.l.Block, NCtaid: lc.l.Grid,
 			}, sm.sys.mem, cta.shared, lc.l.Params)
 			sw := &smWarp{sm: sm, slot: slot, w: w, cta: cta, md: lc.md}

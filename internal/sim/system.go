@@ -17,6 +17,7 @@ import (
 type launchCtx struct {
 	l         exec.Launch
 	md        *compiler.Metadata
+	prog      *exec.Program
 	nextCTA   int
 	doneCTAs  int
 	totalCTAs int
@@ -459,7 +460,11 @@ func (sys *System) runLaunch(l exec.Launch) error {
 	if err != nil {
 		return err
 	}
-	lc := &launchCtx{l: l, md: md, totalCTAs: l.Grid}
+	prog, err := exec.Decode(l.Kernel, md.Info)
+	if err != nil {
+		return err
+	}
+	lc := &launchCtx{l: l, md: md, prog: prog, totalCTAs: l.Grid}
 	perCycle := sys.perCycle || sys.trace != nil
 
 	for {
