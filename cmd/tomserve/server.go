@@ -15,6 +15,14 @@ import (
 	"repro/internal/sim"
 )
 
+// Batch request bounds. A 50-run Fig. 9 sweep batch is about 3 KB of JSON;
+// both limits sit far above it and only stop a client from making the
+// server buffer or plan an arbitrarily large batch.
+const (
+	maxBatchBytes = 1 << 20 // request body; larger answers 413
+	maxBatchRuns  = 1024    // runs per batch; more answers 400
+)
+
 // options configures a server instance. The zero values of workers/queue/
 // timeout select the defaults in newServer; tests construct these directly,
 // main fills them from flags.
@@ -188,12 +196,23 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.reg.Counter("http.batches").Inc()
 
 	var req batchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBatchBytes)).Decode(&req); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			http.Error(w, fmt.Sprintf("bad batch: body exceeds %d bytes", maxBatchBytes),
+				http.StatusRequestEntityTooLarge)
+			return
+		}
 		http.Error(w, "bad batch: "+err.Error(), http.StatusBadRequest)
 		return
 	}
 	if len(req.Runs) == 0 {
 		http.Error(w, "bad batch: no runs", http.StatusBadRequest)
+		return
+	}
+	if len(req.Runs) > maxBatchRuns {
+		http.Error(w, fmt.Sprintf("bad batch: %d runs exceeds the limit of %d", len(req.Runs), maxBatchRuns),
+			http.StatusBadRequest)
 		return
 	}
 

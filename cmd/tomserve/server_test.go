@@ -158,6 +158,45 @@ func TestServerBatchErrors(t *testing.T) {
 	}
 }
 
+// TestServerBatchBounds: an oversized body answers 413 and a batch with
+// too many runs answers 400 — both before any run is planned — while a
+// batch exactly at the run limit is accepted.
+func TestServerBatchBounds(t *testing.T) {
+	s, ts := newTestServer(t, options{cacheDir: t.TempDir(), fingerprint: "test"})
+
+	huge := `{"runs":[{"workload":"` + strings.Repeat("x", maxBatchBytes) + `"}]}`
+	resp, err := http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(huge))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized body: HTTP %d, want 413", resp.StatusCode)
+	}
+
+	// Unknown workloads fail per run without simulating, so the at-limit
+	// batch is cheap; one run more is refused as a whole.
+	runs := make([]runRequest, maxBatchRuns+1)
+	for i := range runs {
+		runs[i] = runRequest{Workload: "NOPE", Config: "baseline"}
+	}
+	resp, _, raw := postBatch(t, ts.URL, batchRequest{Runs: runs})
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(raw), "exceeds the limit") {
+		t.Errorf("%d runs: HTTP %d %q, want 400 over the run limit", len(runs), resp.StatusCode, raw)
+	}
+	resp, out, _ := postBatch(t, ts.URL, batchRequest{Runs: runs[:maxBatchRuns]})
+	if resp.StatusCode != http.StatusOK || out.Cache.Errors != maxBatchRuns {
+		t.Errorf("%d runs: HTTP %d, %d errors; want 200 with every run failing on its own",
+			maxBatchRuns, resp.StatusCode, out.Cache.Errors)
+	}
+	s.mu.Lock()
+	n := len(s.specs)
+	s.mu.Unlock()
+	if n != 0 {
+		t.Errorf("refused batches planned %d runs, want 0", n)
+	}
+}
+
 // TestServerAdmissionQueue: with every admission slot held, batch and trace
 // requests bounce with 429 + Retry-After instead of queueing; releasing a
 // slot readmits.

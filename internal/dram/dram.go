@@ -14,6 +14,8 @@ package dram
 import (
 	"math"
 	"math/bits"
+
+	"repro/internal/fifo"
 )
 
 // Timing collects the vault timing/geometry parameters, in core cycles.
@@ -78,7 +80,9 @@ type Vault struct {
 	seq       uint64
 	busFreeAt int64
 	drainGap  int64 // bus-drain backpressure point: no issue while busFreeAt > now + drainGap
-	compl     []completion
+
+	// compl holds issued bursts, sorted by completion cycle.
+	compl fifo.Queue[completion]
 
 	// Memoized NextEvent result. The horizon is an absolute cycle, so it
 	// stays valid as time passes; it is invalidated whenever the inputs
@@ -122,7 +126,7 @@ func (v *Vault) Enqueue(r *Request) bool {
 }
 
 // Active reports whether the vault has pending work.
-func (v *Vault) Active() bool { return v.queued > 0 || len(v.compl) > 0 }
+func (v *Vault) Active() bool { return v.queued > 0 || v.compl.Len() > 0 }
 
 // NextEvent returns the next cycle this vault does observable work: the
 // earliest of the next burst completion and the first cycle issue
@@ -141,8 +145,8 @@ func (v *Vault) NextEvent() int64 {
 
 func (v *Vault) computeHorizon() int64 {
 	next := int64(-1)
-	if len(v.compl) > 0 {
-		next = v.compl[0].at
+	if v.compl.Len() > 0 {
+		next = v.compl.At(0).at
 	}
 	if v.queued > 0 {
 		// Earliest possible issue: the first cycle c with some queued
@@ -186,7 +190,7 @@ func (v *Vault) Snapshot() Snapshot {
 		Writes:      v.Writes,
 		BytesMoved:  v.BytesMoved,
 		Queued:      v.queued,
-		InFlight:    len(v.compl),
+		InFlight:    v.compl.Len(),
 	}
 }
 
@@ -206,9 +210,8 @@ func (v *Vault) BankOf(addr uint64) int {
 // arrival-ordered, and the seq tags order candidates across banks, so the
 // pick visits each bank once instead of scanning one global queue twice.
 func (v *Vault) Tick(now int64) {
-	for len(v.compl) > 0 && v.compl[0].at <= now {
-		c := v.compl[0]
-		v.compl = v.compl[1:]
+	for v.compl.Len() > 0 && v.compl.At(0).at <= now {
+		c := v.compl.Pop()
 		v.horizonValid = false
 		if c.done != nil {
 			c.done(now)
@@ -251,7 +254,10 @@ func (v *Vault) Tick(now int64) {
 		return
 	}
 	b := &v.banks[pickBank]
-	b.queue = append(b.queue[:pickIdx], b.queue[pickIdx+1:]...)
+	last := len(b.queue) - 1
+	copy(b.queue[pickIdx:], b.queue[pickIdx+1:])
+	b.queue[last] = nil // the vault keeps no reference to an issued request
+	b.queue = b.queue[:last]
 	if len(b.queue) == 0 {
 		v.occ &^= 1 << pickBank
 	}
@@ -284,10 +290,14 @@ func (v *Vault) Tick(now int64) {
 		v.Reads++
 	}
 	v.BytesMoved += uint64(r.Bytes)
-	v.compl = append(v.compl, completion{at: end, done: r.Done})
+	v.compl.Push(completion{at: end, done: r.Done})
 	// Keep completions sorted (insertion is near-append: ends increase
 	// except when bank latencies differ).
-	for i := len(v.compl) - 1; i > 0 && v.compl[i].at < v.compl[i-1].at; i-- {
-		v.compl[i], v.compl[i-1] = v.compl[i-1], v.compl[i]
+	for i := v.compl.Len() - 1; i > 0; i-- {
+		c, prev := v.compl.At(i), v.compl.At(i-1)
+		if c.at >= prev.at {
+			break
+		}
+		*c, *prev = *prev, *c
 	}
 }

@@ -133,7 +133,7 @@ func TestVaultEventJumpMatchesPerCycle(t *testing.T) {
 		at := int64(0)
 		for i := 0; i < 300; i++ {
 			at += int64(rng.Intn(40)) // bursty: many same-cycle arrivals
-			a := arrival{at: at, addr: uint64(rng.Intn(1 << 22)) &^ 127, bytes: 128}
+			a := arrival{at: at, addr: uint64(rng.Intn(1<<22)) &^ 127, bytes: 128}
 			if rng.Intn(3) == 0 {
 				a.addr = uint64(i) * 128 % (1 << 16) // row-friendly
 			}
@@ -161,7 +161,7 @@ func TestVaultEventJumpMatchesPerCycle(t *testing.T) {
 						Done: func(c int64) { doneAt[id] = c },
 					})
 					if !ok {
-						blocked = true // queue full: retry next cycle, like wevVaultTry
+						blocked = true // queue full: retry next cycle, like the simulator's crossbar
 						break
 					}
 					i++

@@ -140,3 +140,49 @@ func TestCompletionOrderMonotonic(t *testing.T) {
 		}
 	}
 }
+
+// TestEnqueueTickReusedRequestsAllocatesNothing: a vault fed from a fixed
+// set of reused requests — each re-enqueued once its burst completed —
+// keeps its bank queues' and completion ring's storage and allocates
+// nothing per request.
+func TestEnqueueTickReusedRequestsAllocatesNothing(t *testing.T) {
+	v := NewVault(DefaultTiming())
+	reqs := make([]Request, 64)
+	busy := make([]bool, len(reqs))
+	for i := range reqs {
+		i := i
+		reqs[i].Done = func(int64) { busy[i] = false }
+	}
+	rng := rand.New(rand.NewSource(3))
+	var now int64
+	i := 0
+	op := func() {
+		slot := i % len(reqs)
+		i++
+		for busy[slot] {
+			now++
+			v.Tick(now)
+		}
+		r := &reqs[slot]
+		r.Addr, r.Bytes, r.Write = uint64(rng.Intn(1<<24))&^127, 128, rng.Intn(4) == 0
+		for !v.Enqueue(r) {
+			now++
+			v.Tick(now)
+		}
+		busy[slot] = true
+		now++
+		v.Tick(now)
+	}
+	for k := 0; k < 10*len(reqs); k++ {
+		op()
+	}
+	// AllocsPerRun truncates its mean: measure batches of requests so even
+	// one allocation per thousand shows.
+	if a := testing.AllocsPerRun(10, func() {
+		for k := 0; k < 1000; k++ {
+			op()
+		}
+	}); a != 0 {
+		t.Errorf("1000 Enqueue+Tick requests allocate %.0f times, want 0", a)
+	}
+}

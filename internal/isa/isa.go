@@ -315,8 +315,11 @@ func (k *Kernel) Validate() error {
 	if k.NumRegs < 1 || k.NumRegs > MaxRegs {
 		return fmt.Errorf("isa: kernel %q: NumRegs %d out of range [1,%d]", k.Name, k.NumRegs, MaxRegs)
 	}
-	if k.NumParams > k.NumRegs {
-		return fmt.Errorf("isa: kernel %q: NumParams %d exceeds NumRegs %d", k.Name, k.NumParams, k.NumRegs)
+	if k.NumParams < 0 || k.NumParams > k.NumRegs {
+		return fmt.Errorf("isa: kernel %q: NumParams %d out of range [0,%d]", k.Name, k.NumParams, k.NumRegs)
+	}
+	if k.SharedBytes < 0 {
+		return fmt.Errorf("isa: kernel %q: negative SharedBytes %d", k.Name, k.SharedBytes)
 	}
 	if len(k.Instrs) == 0 {
 		return fmt.Errorf("isa: kernel %q: empty instruction list", k.Name)

@@ -112,6 +112,8 @@ func TestValidateCatchesBadKernels(t *testing.T) {
 		{Name: "shared", NumRegs: 2, Instrs: []Instr{{Op: OpLdShared, Dst: 1, HasDst: true, A: R(0)}, {Op: OpExit}}},
 		{Name: "oobdst", NumRegs: 2, Instrs: []Instr{{Op: OpMov, Dst: 7, HasDst: true, A: Imm(0)}, {Op: OpExit}}},
 		{Name: "oobsrc", NumRegs: 2, Instrs: []Instr{{Op: OpMov, Dst: 1, HasDst: true, A: R(9)}, {Op: OpExit}}},
+		{Name: "negparams", NumRegs: 2, NumParams: -1, Instrs: []Instr{{Op: OpExit}}},
+		{Name: "negshared", NumRegs: 2, SharedBytes: -8, Instrs: []Instr{{Op: OpExit}}},
 	}
 	for _, k := range bad {
 		if err := k.Validate(); err == nil {
@@ -190,6 +192,8 @@ func TestAssembleErrors(t *testing.T) {
 		".kernel k\n  bra r1\n  exit",      // bra with 1 arg = label "r1" undefined
 		".kernel k\n  ld.global r1, r2\n  exit",
 		".kernel k\n  mov r99, 0\n  exit",
+		".kernel k\n.shared -8\n  exit", // negative shared allocation
+		".kernel k\n.params -1\n  exit", // negative parameter count
 		"",
 	}
 	for _, src := range bad {

@@ -14,7 +14,11 @@
 // AdvanceTo once per cycle and exercises the same code.
 package link
 
-import "math"
+import (
+	"math"
+
+	"repro/internal/fifo"
+)
 
 // Packet is a unit of transfer. Bytes includes all header overhead.
 // Deliver runs at the receiving end after serialization + propagation.
@@ -41,8 +45,10 @@ type Link struct {
 	BytesPerCycle float64
 	PropLatency   int64
 
-	queue     []qpacket
-	inflight  []inflight
+	// Both stages are ring buffers that keep their storage, so a link
+	// under a standing backlog sends and delivers without allocating.
+	queue     fifo.Queue[qpacket]
+	inflight  fifo.Queue[inflight]
 	busWindow busyMonitor
 
 	// burstStart is the first serialization cycle of the current burst (a
@@ -76,7 +82,7 @@ func New(name string, bytesPerCycle float64, propLatency int64) *Link {
 // the packet.
 func (l *Link) Send(p Packet, now int64) {
 	l.account(now - 1)
-	if len(l.queue) == 0 {
+	if l.queue.Len() == 0 {
 		// acctThrough ≥ now-1 after the account call, so the burst starts
 		// at `now` when the link has not been advanced this cycle yet, and
 		// at now+1 when it has.
@@ -97,16 +103,16 @@ func (l *Link) Send(p Packet, now int64) {
 	for float64(k)*l.BytesPerCycle < l.burstBytes {
 		k++
 	}
-	l.queue = append(l.queue, qpacket{p: p, finish: l.burstStart + k - 1})
+	l.queue.Push(qpacket{p: p, finish: l.burstStart + k - 1})
 }
 
 // QueuedPackets returns the number of packets not yet moved to the
 // propagation stage as of the last accounting point (loop diagnostics; for
 // exact occupancy at a cycle use Snapshot, which accounts first).
-func (l *Link) QueuedPackets() int { return len(l.queue) }
+func (l *Link) QueuedPackets() int { return l.queue.Len() }
 
 // Active reports whether the link has pending work.
-func (l *Link) Active() bool { return len(l.queue) > 0 || len(l.inflight) > 0 }
+func (l *Link) Active() bool { return l.queue.Len() > 0 || l.inflight.Len() > 0 }
 
 // account applies serialization effects for all cycles through `target`:
 // busy-cycle counting (one per cycle the queue is non-empty, matching the
@@ -117,25 +123,24 @@ func (l *Link) account(target int64) {
 	if target <= l.acctThrough {
 		return
 	}
-	if len(l.queue) > 0 {
+	if l.queue.Len() > 0 {
 		a := l.acctThrough + 1
 		if a < l.burstStart {
 			a = l.burstStart
 		}
 		b := target
-		if last := l.queue[len(l.queue)-1].finish; b > last {
+		if last := l.queue.At(l.queue.Len() - 1).finish; b > last {
 			b = last
 		}
 		if a <= b {
 			l.BusyCycles += uint64(b - a + 1)
 			l.busWindow.addSpan(a, b)
 		}
-		for len(l.queue) > 0 && l.queue[0].finish <= target {
-			q := l.queue[0]
-			l.queue = l.queue[1:]
+		for l.queue.Len() > 0 && l.queue.At(0).finish <= target {
+			q := l.queue.Pop()
 			l.BytesSent += uint64(q.p.Bytes)
 			l.PacketsSent++
-			l.inflight = append(l.inflight, inflight{p: q.p, at: q.finish + l.PropLatency})
+			l.inflight.Push(inflight{p: q.p, at: q.finish + l.PropLatency})
 		}
 	}
 	l.acctThrough = target
@@ -148,9 +153,8 @@ func (l *Link) account(target int64) {
 // event-driven loop) produce identical state and identical delivery times.
 func (l *Link) AdvanceTo(now int64) {
 	l.account(now)
-	for len(l.inflight) > 0 && l.inflight[0].at <= now {
-		f := l.inflight[0]
-		l.inflight = l.inflight[1:]
+	for l.inflight.Len() > 0 && l.inflight.At(0).at <= now {
+		f := l.inflight.Pop()
 		if f.p.Deliver != nil {
 			f.p.Deliver(now)
 		}
@@ -181,11 +185,11 @@ func (l *Link) SkipTo(now int64) {
 // monotone; the head queued packet's delivery can never precede them.
 func (l *Link) NextEvent() int64 {
 	next := int64(-1)
-	if len(l.inflight) > 0 {
-		next = l.inflight[0].at
+	if l.inflight.Len() > 0 {
+		next = l.inflight.At(0).at
 	}
-	if len(l.queue) > 0 {
-		if t := l.queue[0].finish + l.PropLatency; next < 0 || t < next {
+	if l.queue.Len() > 0 {
+		if t := l.queue.At(0).finish + l.PropLatency; next < 0 || t < next {
 			next = t
 		}
 	}
@@ -221,7 +225,7 @@ func (l *Link) Snapshot(now int64) Snapshot {
 		BytesSent:   l.BytesSent,
 		PacketsSent: l.PacketsSent,
 		BusyCycles:  l.BusyCycles,
-		Queued:      len(l.queue),
+		Queued:      l.queue.Len(),
 		Utilization: l.busWindow.utilization(now),
 	}
 }

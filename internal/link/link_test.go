@@ -123,3 +123,39 @@ func TestThroughputMatchesBandwidth(t *testing.T) {
 		t.Errorf("sustained throughput = %.2f B/cy, want ~57.14", gbps)
 	}
 }
+
+// TestSendAdvanceUnderBacklogAllocatesNothing: with a standing queue of
+// packets both serializing and propagating, each Send + AdvanceTo reuses
+// the link's ring buffers instead of growing them.
+func TestSendAdvanceUnderBacklogAllocatesNothing(t *testing.T) {
+	l := New("tx", 16, 20) // 16 B/cycle: a 64 B packet serializes in 4 cycles
+	delivered := 0
+	deliver := func(int64) { delivered++ }
+	var now int64
+	for i := 0; i < 100; i++ {
+		l.Send(Packet{Bytes: 64, Deliver: deliver}, now)
+	}
+	op := func() {
+		l.Send(Packet{Bytes: 64, Deliver: deliver}, now)
+		now += 4 // the link drains one packet per op: the backlog stands
+		l.AdvanceTo(now)
+	}
+	for i := 0; i < 200; i++ {
+		op()
+	}
+	if q := l.QueuedPackets(); q < 50 {
+		t.Fatalf("backlog drained to %d packets; the test needs a standing queue", q)
+	}
+	// AllocsPerRun truncates its mean: measure batches of ops so even one
+	// allocation per thousand ops shows.
+	if a := testing.AllocsPerRun(10, func() {
+		for k := 0; k < 1000; k++ {
+			op()
+		}
+	}); a != 0 {
+		t.Errorf("1000 Send+AdvanceTo ops under backlog allocate %.0f times, want 0", a)
+	}
+	if delivered == 0 {
+		t.Fatal("no packet was delivered")
+	}
+}

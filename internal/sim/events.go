@@ -3,7 +3,7 @@ package sim
 import "repro/internal/isa"
 
 // runEvent dispatches one typed wheel event. The hot schedule sites (L2
-// routing, crossbar→vault delivery, offload pipeline, warp wakeups) encode
+// routing, line-request hops, offload pipeline, warp wakeups) encode
 // their continuation in wheelEvent fields instead of closures, so firing
 // them allocates nothing; wevFunc remains the escape hatch for cold paths.
 func (sys *System) runEvent(ev *wheelEvent, now int64) {
@@ -38,11 +38,8 @@ func (sys *System) runEvent(ev *wheelEvent, now int64) {
 	case wevRouteStore:
 		sys.routeStore(ev.t, now)
 
-	case wevVaultTry:
-		// Crossbar delivery: enqueue into the vault, retrying while full.
-		if !ev.vault.Enqueue(ev.req) {
-			sys.wheel.afterEvent(4, *ev)
-		}
+	case wevMemReq:
+		ev.r.step(now)
 
 	case wevTxnDone:
 		ev.t.complete(now)

@@ -35,6 +35,9 @@ type SM struct {
 
 	lsu  []*txn
 	mshr map[uint64][]loadWaiter
+	// waiterFree recycles the capacity of drained MSHR waiter slices, so
+	// an L1 miss in steady state allocates nothing.
+	waiterFree [][]loadWaiter
 
 	ctas   []*ctaCtx // active CTAs (main SMs)
 	spawnQ []*offloadJob
@@ -558,7 +561,8 @@ func (sm *SM) issueMem(sw *smWarp, res exec.StepResult, now int64) {
 		if isStore {
 			// Write-through, no-allocate: touch L1 LRU if present.
 			sm.l1.Lookup(li.line)
-			t := &txn{line: li.line, bytes: li.lanes * isa.WordBytes, store: true,
+			t := sm.sys.txns.get()
+			*t = txn{line: li.line, bytes: li.lanes * isa.WordBytes, store: true,
 				atom: res.Op == isa.OpAtomAdd, sm: sm, sw: sw, reg: reg}
 			if res.Op == isa.OpAtomAdd {
 				sw.regCount[reg]++
@@ -579,9 +583,16 @@ func (sm *SM) issueMem(sw *smWarp, res exec.StepResult, now int64) {
 			continue
 		}
 		sm.noteL1(false)
-		sm.mshr[li.line] = []loadWaiter{{sw: sw, reg: reg}}
+		var waiters []loadWaiter
+		if k := len(sm.waiterFree); k > 0 {
+			waiters = sm.waiterFree[k-1]
+			sm.waiterFree = sm.waiterFree[:k-1]
+		}
+		sm.mshr[li.line] = append(waiters, loadWaiter{sw: sw, reg: reg})
 		sm.sys.inflight++
-		sm.lsu = append(sm.lsu, &txn{line: li.line, sm: sm})
+		t := sm.sys.txns.get()
+		*t = txn{line: li.line, sm: sm}
+		sm.lsu = append(sm.lsu, t)
 	}
 }
 
@@ -606,6 +617,10 @@ func (sm *SM) fill(line uint64, now int64) {
 	delete(sm.mshr, line)
 	for _, wt := range waiters {
 		sm.regClear(wt.sw, wt.reg, now)
+	}
+	if cap(waiters) > 0 {
+		clear(waiters)
+		sm.waiterFree = append(sm.waiterFree, waiters[:0])
 	}
 	// MSHR space freed: wake MSHR-stalled warps.
 	sm.retryLSUStalls(now)

@@ -48,17 +48,20 @@ func newStack(sys *System, id int) *stackNode {
 	return s
 }
 
-// serveLine routes a request through the crossbar into its vault, retrying
-// while the vault queue is full, and calls done when the DRAM burst
-// completes.
-func (s *stackNode) serveLine(line uint64, storeBytes int, write bool, now int64, done func(int64)) {
-	v := s.vaults[mapping.VaultOf(line, len(s.vaults))]
+// serveLine routes a line request through the crossbar into its vault; the
+// request retries while the vault queue is full and responds when the DRAM
+// burst completes (see memReq.step).
+func (s *stackNode) serveLine(r *memReq) {
+	r.vault = s.vaults[mapping.VaultOf(r.line, len(s.vaults))]
+	t := r.t
+	write := t != nil && t.store
 	bytes := s.sys.cfg.LineBytes
-	if write && storeBytes > 0 {
-		bytes = storeBytes
+	if write && t.bytes > 0 {
+		bytes = t.bytes
 	}
-	req := &dram.Request{Addr: line, Bytes: bytes, Write: write, Done: done}
-	s.sys.wheel.afterEvent(s.sys.cfg.XbarLat, wheelEvent{kind: wevVaultTry, vault: v, req: req})
+	r.req = dram.Request{Addr: r.line, Bytes: bytes, Write: write, Done: r.next}
+	r.phase = phVault
+	s.sys.wheel.afterEvent(s.sys.cfg.XbarLat, wheelEvent{kind: wevMemReq, r: r})
 }
 
 func (s *stackNode) tick(now int64, elide bool) {
@@ -108,9 +111,7 @@ func (p *stackPort) accept(now int64, t *txn) bool {
 	}
 	if home == p.node.id {
 		// Local: crossbar + vault only.
-		p.node.serveLine(t.line, t.bytes, t.store, now, func(done int64) {
-			sys.wheel.afterEvent(2, wheelEvent{kind: wevTxnDone, t: t})
-		})
+		sys.newReq(reqLocal, t.line, t, home, 0).step(now)
 		return true
 	}
 	// Remote: request over the cross-stack link, response back.
@@ -120,11 +121,8 @@ func (p *stackPort) accept(now int64, t *txn) bool {
 		reqBytes += t.bytes
 		respBytes = storeAckBytes
 	}
-	from, to := p.node.id, home
-	sys.crossLinks[from][to].Send(packetOf(reqBytes, func(at int64) {
-		sys.stacks[to].serveLine(t.line, t.bytes, t.store, at, func(done int64) {
-			sys.crossLinks[to][from].Send(packetOf(respBytes, t.complete), done)
-		})
-	}), now)
+	r := sys.newReq(reqRemote, t.line, t, home, respBytes)
+	r.from = p.node.id
+	r.send(sys.crossLinks[r.from][home], reqBytes, now)
 	return true
 }

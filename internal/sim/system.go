@@ -38,6 +38,11 @@ type System struct {
 	l2mshr map[uint64]*l2entry
 	stacks []*stackNode
 
+	// Pools for the line path: every memory transaction and every line
+	// request below the L2 is recycled (poolLeak checks at quiescence).
+	txns freeList[txn]
+	reqs freeList[memReq]
+
 	txLinks, rxLinks []*link.Link   // GPU->stack / stack->GPU
 	crossLinks       [][]*link.Link // [from][to]
 	pcieTX, pcieRX   *link.Link
@@ -476,7 +481,7 @@ func (sys *System) runLaunch(l exec.Launch) error {
 		// overshot by up to 63 cycles). The check short-circuits on
 		// doneCTAs during the bulk of the run.
 		if lc.doneCTAs == lc.totalCTAs && sys.quiet() {
-			return nil
+			return sys.poolLeak()
 		}
 		// A run that quiesces exactly at the MaxCycles boundary succeeds;
 		// the error fires at sys.now == MaxCycles+1, i.e. after cycle

@@ -22,18 +22,21 @@ type txn struct {
 	reg isa.Reg
 }
 
-// complete delivers the load data (or store ack) back to the issuing SM —
-// the typed equivalent of the old per-txn onData closure.
+// complete delivers the load data (or store ack) back to the issuing SM
+// and returns the txn to the system's pool.
 func (t *txn) complete(now int64) {
-	sm := t.sm
+	c := *t
+	sm := c.sm
+	*t = txn{}
+	sm.sys.txns.put(t)
 	sm.sys.inflight--
-	if t.store {
-		sm.storeAck(t.sw, now)
-		if t.atom {
-			sm.regClear(t.sw, t.reg, now)
+	if c.store {
+		sm.storeAck(c.sw, now)
+		if c.atom {
+			sm.regClear(c.sw, c.reg, now)
 		}
 	} else {
-		sm.fill(t.line, now)
+		sm.fill(c.line, now)
 	}
 }
 
